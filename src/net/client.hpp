@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/frame.hpp"
@@ -45,6 +46,12 @@ class QueryClient {
   void close() noexcept;
 
  private:
+  /// Sends one `type` frame and blocks (polling every 100 ms) for the next
+  /// frame until `timeout_ms` passes. False on any failure, with the
+  /// connection closed.
+  [[nodiscard]] bool round_trip(MsgType type, std::string_view payload,
+                                int timeout_ms, Frame& reply);
+
   int fd_ = -1;
 };
 

@@ -102,6 +102,16 @@ void maybe_corrupt_frame(std::string& frame, std::size_t from) {
   }
 }
 
+bool write_frame(int fd, std::string frame) {
+  maybe_corrupt_frame(frame);
+  for (std::size_t sent = 0; sent < frame.size();) {
+    const IoResult w = write_some(fd, frame.data() + sent, frame.size() - sent);
+    if (w.status != IoStatus::kOk) return false;
+    sent += w.n;
+  }
+  return true;
+}
+
 int connect_with_timeout(const std::string& host, std::uint16_t port,
                          int timeout_ms) {
   sockaddr_in addr{};

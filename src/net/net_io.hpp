@@ -50,6 +50,11 @@ struct IoResult {
 /// exactly the bytes of one outgoing frame.
 void maybe_corrupt_frame(std::string& frame, std::size_t from = 0);
 
+/// Applies maybe_corrupt_frame to `frame`, then writes all of it to a
+/// blocking fd through write_some. False on the first write that does not
+/// report kOk; the caller then treats the connection as unusable.
+[[nodiscard]] bool write_frame(int fd, std::string frame);
+
 /// Blocking connect to host:port with a deadline. Returns the connected fd
 /// (in blocking mode) or -1.
 [[nodiscard]] int connect_with_timeout(const std::string& host,

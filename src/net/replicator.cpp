@@ -144,14 +144,9 @@ Replicator::SessionEnd Replicator::session(int fd) {
   Subscribe sub;
   sub.force_snapshot = force_snapshot_;
   sub.chain = index_.chain(opt_.tree);
-  std::string out = encode_frame(MsgType::kSubscribe, encode_subscribe(sub));
-  maybe_corrupt_frame(out);
-  std::size_t sent = 0;
-  while (sent < out.size()) {
-    const IoResult w = write_some(fd, out.data() + sent, out.size() - sent);
-    if (w.status != IoStatus::kOk) return SessionEnd::kReconnect;
-    sent += w.n;
-  }
+  if (!write_frame(fd, encode_frame(MsgType::kSubscribe,
+                                    encode_subscribe(sub))))
+    return SessionEnd::kReconnect;
 
   FrameReader reader;
   Clock::time_point last_frame = Clock::now();

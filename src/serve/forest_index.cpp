@@ -5,8 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "bits/kernels.hpp"
 #include "util/failpoint.hpp"
@@ -285,9 +283,12 @@ std::uint64_t ForestIndex::swap_entry(TreeId tree, std::string_view scheme,
       if (sl.entry.load(std::memory_order_acquire) == old) {
         sl.entry.store(EntryPtr(std::move(fresh)),
                        std::memory_order_release);
-        sh.invalidated += sh.cache.erase_if([tree](std::uint64_t key) {
-          return static_cast<TreeId>(key >> 32) == tree;
-        });
+        // Every key this tree has cached names an external id of `old`
+        // (cache inserts happen under this lock, against the live entry),
+        // so erasing old's whole id range drops them all.
+        for (std::size_t x = 0; x < old->ext_size(); ++x)
+          if (sh.cache.erase(cache_key(tree, static_cast<tree::NodeId>(x))))
+            ++sh.invalidated;
         // A clean full swap is the repair path: live again, streaks reset.
         note_success(sl);
         return old->epoch + 1;
@@ -418,8 +419,6 @@ std::uint64_t ForestIndex::apply_delta_impl(TreeId tree,
                    bits::MappedArena::adopt(std::move(patched)),
                    old->epoch + 1, std::move(ext_map));
     fresh->chain = d.new_chain;
-    const std::unordered_set<tree::NodeId> stale(stale_ext.begin(),
-                                                 stale_ext.end());
 
     const util::MutexLock lock(sh.mu);
     if (trees_[tree]->entry.load(std::memory_order_acquire) != old)
@@ -428,11 +427,8 @@ std::uint64_t ForestIndex::apply_delta_impl(TreeId tree,
                               std::memory_order_release);
     // Selective invalidation: only attachments whose labels changed (or
     // whose ids died) go; clean hot labels stay attached across the swap.
-    sh.invalidated += sh.cache.erase_if([tree, &stale](std::uint64_t key) {
-      return static_cast<TreeId>(key >> 32) == tree &&
-             stale.count(static_cast<tree::NodeId>(
-                 static_cast<std::uint32_t>(key))) != 0;
-    });
+    for (const tree::NodeId x : stale_ext)
+      if (sh.cache.erase(cache_key(tree, x))) ++sh.invalidated;
     return old->epoch + 1;
   }
 }
@@ -511,12 +507,6 @@ int ForestIndex::planned_fanout(std::size_t batch) const noexcept {
   return static_cast<int>(std::max<std::size_t>(t, 1));
 }
 
-Dist ForestIndex::query_entry_locked(Shard& sh, const Request& r,
-                                     const TreeEntry& e) const {
-  return query_resolved_locked(sh, r.tree, r, resolve(e, r.u),
-                               resolve(e, r.v), e);
-}
-
 Dist ForestIndex::query_resolved_locked(Shard& sh, TreeId tree,
                                         const Request& r, tree::NodeId iu,
                                         tree::NodeId iv,
@@ -558,14 +548,6 @@ Dist ForestIndex::query_resolved_uncached(tree::NodeId iu, tree::NodeId iv,
                         e.labels.view(static_cast<std::size_t>(iv)));
 }
 
-Dist ForestIndex::query_locked(Shard& sh, const Request& r) const {
-  // Load the slot *under the shard lock*: anything this query inserts into
-  // the cache belongs to the labeling a concurrent update() will (or did)
-  // invalidate against — see swap_entry().
-  const EntryPtr e = trees_[r.tree]->entry.load(std::memory_order_acquire);
-  return query_entry_locked(sh, r, *e);
-}
-
 Dist ForestIndex::query(const Request& r) const {
   const obs::ScopedTimer timer(ServeMetrics::get().query_ns);
   const Slot& sl = slot(r.tree);
@@ -573,87 +555,61 @@ Dist ForestIndex::query(const Request& r) const {
     throw QuarantinedError(r.tree);
   Shard& sh = *shards_[shard_of(r.tree)];
   const util::MutexLock lock(sh.mu);
-  return query_locked(sh, r);
+  // Load the slot *under the shard lock*: anything this query inserts into
+  // the cache belongs to the labeling a concurrent update() will (or did)
+  // invalidate against — see swap_entry().
+  const EntryPtr e = sl.entry.load(std::memory_order_acquire);
+  return query_resolved_locked(sh, r.tree, r, resolve(*e, r.u),
+                               resolve(*e, r.v), *e);
 }
 
-ForestIndex::BatchPlan ForestIndex::plan_batch(std::span<const Request> reqs,
-                                               QueryResult* results) const {
+ForestIndex::BatchPlan ForestIndex::plan_batch(
+    std::span<const Request> reqs, std::span<QueryResult> results) const {
   BatchPlan plan;
-  // Throwing mode tracks the first offender in REQUEST order across both
-  // passes: a bad node at request 1 (found while resolving groups) must
-  // beat a bad tree at request 3 (found in the serial scan), exactly as
-  // the old request-ordered pre-pass reported it.
-  std::size_t first_err = reqs.size();
-  std::exception_ptr err;
-
   // Pass 1 (request order): tree bound + quarantine, partition by shard.
   std::vector<std::vector<std::uint32_t>> by_shard(shards_.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     const Request& r = reqs[i];
-    if (r.tree >= trees_.size()) {
-      if (results != nullptr) {
-        results[i].status = QueryStatus::kBadTree;
-      } else if (i < first_err) {
-        first_err = i;
-        err = std::make_exception_ptr(
-            std::out_of_range("ForestIndex: tree id out of range"));
-      }
-      continue;
-    }
-    if (health_of(*trees_[r.tree]) == TreeHealth::kQuarantined) {
-      if (results != nullptr) {
-        results[i].status = QueryStatus::kQuarantined;
-      } else if (i < first_err) {
-        first_err = i;
-        err = std::make_exception_ptr(QuarantinedError(r.tree));
-      }
-      continue;
-    }
-    by_shard[shard_of(r.tree)].push_back(static_cast<std::uint32_t>(i));
+    if (r.tree >= trees_.size())
+      results[i].status = QueryStatus::kBadTree;
+    else if (health_of(*trees_[r.tree]) == TreeHealth::kQuarantined)
+      results[i].status = QueryStatus::kQuarantined;
+    else
+      by_shard[shard_of(r.tree)].push_back(static_cast<std::uint32_t>(i));
   }
 
-  // Pass 2 (grouped): sort each shard's requests by tree (the planner's
-  // locality move — off, they keep arrival order, the pre-planner
-  // behavior), then walk the tree runs loading ONE entry snapshot per
-  // distinct tree and resolving every node id exactly once. The snapshot
-  // is shared across a tree's runs, so a batch still sees one labeling
-  // per tree even when the planner is off and a tree's requests are
-  // scattered.
+  // Pass 2 (grouped): stable-sort each shard's requests by tree, then walk
+  // the tree runs loading ONE entry snapshot per distinct tree and
+  // resolving every node id exactly once.
   plan.order.reserve(reqs.size());
   plan.iu.assign(reqs.size(), tree::kNoNode);
   plan.iv.assign(reqs.size(), tree::kNoNode);
   plan.shard_groups.assign(shards_.size() + 1, 0);
-  std::unordered_map<TreeId, EntryPtr> snap;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     plan.shard_groups[s] = static_cast<std::uint32_t>(plan.groups.size());
     std::vector<std::uint32_t>& idxs = by_shard[s];
-    if (opt_.planner) {
-      std::stable_sort(idxs.begin(), idxs.end(),
-                       [&](std::uint32_t a, std::uint32_t b) {
-                         return reqs[a].tree < reqs[b].tree;
-                       });
-    }
+    std::stable_sort(idxs.begin(), idxs.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return reqs[a].tree < reqs[b].tree;
+                     });
     for (std::size_t k = 0; k < idxs.size();) {
       const TreeId tree = reqs[idxs[k]].tree;
-      EntryPtr& e = snap[tree];  // load each referenced slot once per batch
-      if (e == nullptr)
-        e = trees_[tree]->entry.load(std::memory_order_acquire);
+      const TreeEntry& e =
+          *plan.snap
+               .emplace(tree, trees_[tree]->entry.load(
+                                  std::memory_order_acquire))
+               .first->second;
       BatchPlan::Group g;
       g.begin = static_cast<std::uint32_t>(plan.order.size());
       g.tree = tree;
-      g.entry = e.get();
+      g.entry = &e;
       for (; k < idxs.size() && reqs[idxs[k]].tree == tree; ++k) {
         const std::uint32_t i = idxs[k];
         try {
-          plan.iu[i] = resolve(*e, reqs[i].u);
-          plan.iv[i] = resolve(*e, reqs[i].v);
+          plan.iu[i] = resolve(e, reqs[i].u);
+          plan.iv[i] = resolve(e, reqs[i].v);
         } catch (const std::out_of_range&) {
-          if (results != nullptr) {
-            results[i].status = QueryStatus::kBadNode;
-          } else if (i < first_err) {
-            first_err = i;
-            err = std::current_exception();
-          }
+          results[i].status = QueryStatus::kBadNode;
           continue;
         }
         plan.order.push_back(i);
@@ -664,16 +620,12 @@ ForestIndex::BatchPlan ForestIndex::plan_batch(std::span<const Request> reqs,
   }
   plan.shard_groups[shards_.size()] =
       static_cast<std::uint32_t>(plan.groups.size());
-  if (results == nullptr && err != nullptr) std::rethrow_exception(err);
-  plan.snap.reserve(snap.size());
-  for (auto& [tree, e] : snap) plan.snap.push_back(std::move(e));
   return plan;
 }
 
-template <typename Sink>
 void ForestIndex::execute_plan(const BatchPlan& plan,
                                std::span<const Request> reqs,
-                               Sink&& sink) const {
+                               std::span<QueryResult> out) const {
   util::parallel_for_chunks(
       shards_.size(), shards_.size(), planned_fanout(reqs.size()),
       [&](std::size_t s, std::size_t, std::size_t) {
@@ -697,7 +649,7 @@ void ForestIndex::execute_plan(const BatchPlan& plan,
               trees_[g.tree]->entry.load(std::memory_order_acquire).get() ==
               &e;
           for (std::uint32_t k = g.begin; k < g.end; ++k) {
-            if (opt_.planner && k + kPrefetchAhead < g.end) {
+            if (k + kPrefetchAhead < g.end) {
               // Pull the label words and cache slots of the request a few
               // slots ahead — mapped pages especially benefit; by the time
               // the decode cursor arrives the lines are in flight or
@@ -721,21 +673,34 @@ void ForestIndex::execute_plan(const BatchPlan& plan,
                     : query_resolved_uncached(plan.iu[i], plan.iv[i], e);
             if (sampled)
               ServeMetrics::get().query_ns.record(obs::now_ns() - q0);
-            sink(i, d);
+            out[i].dist = d;
           }
         }
       });
 }
 
-std::vector<Dist> ForestIndex::query_batch(
-    std::span<const Request> reqs) const {
+std::vector<QueryResult> ForestIndex::run_batch(
+    std::span<const Request> reqs, bool throw_on_error) const {
   const std::uint64_t t0 = obs::now_ns();
-  std::vector<Dist> out(reqs.size());
-  // Plan serially (validation in request order — a bad request throws the
-  // first offender deterministically, before any query work), then fan the
-  // (shard, tree)-grouped plan out across shards.
-  const BatchPlan plan = plan_batch(reqs, nullptr);
-  execute_plan(plan, reqs, [&out](std::uint32_t i, Dist d) { out[i] = d; });
+  std::vector<QueryResult> out(reqs.size());
+  // Plan serially (validation in request order, before any query work),
+  // then fan the (shard, tree)-grouped plan out across shards.
+  const BatchPlan plan = plan_batch(reqs, out);
+  for (std::size_t i = 0; throw_on_error && i < reqs.size(); ++i) {
+    // The first non-ok request throws what query() would throw for it.
+    // Re-resolving against the snapshot the plan judged it by reproduces
+    // the exact message (out of range vs. no longer in the tree).
+    const Request& r = reqs[i];
+    if (out[i].status == QueryStatus::kBadTree) (void)slot(r.tree);
+    if (out[i].status == QueryStatus::kQuarantined)
+      throw QuarantinedError(r.tree);
+    if (out[i].status == QueryStatus::kBadNode) {
+      const TreeEntry& e = *plan.snap.at(r.tree);
+      (void)resolve(e, r.u);
+      (void)resolve(e, r.v);
+    }
+  }
+  execute_plan(plan, reqs, out);
   if constexpr (obs::kEnabled) {
     ServeMetrics& m = ServeMetrics::get();
     m.batch_ns.record(obs::now_ns() - t0);
@@ -748,22 +713,16 @@ std::vector<Dist> ForestIndex::query_batch(
 
 std::vector<QueryResult> ForestIndex::query_batch_checked(
     std::span<const Request> reqs) const {
-  const std::uint64_t t0 = obs::now_ns();
-  std::vector<QueryResult> out(reqs.size());
-  // Same plan as query_batch(), but a bad request is *recorded* (typed
-  // status, request order) instead of aborting the batch: one quarantined
-  // tree or one bad client id must not cost every other request its
-  // answer.
-  const BatchPlan plan = plan_batch(reqs, out.data());
-  execute_plan(plan, reqs,
-               [&out](std::uint32_t i, Dist d) { out[i].dist = d; });
-  if constexpr (obs::kEnabled) {
-    ServeMetrics& m = ServeMetrics::get();
-    m.batch_ns.record(obs::now_ns() - t0);
-    m.batch_size.record(reqs.size());
-    m.planner_batches.add(1);
-    m.planner_groups.add(plan.groups.size());
-  }
+  return run_batch(reqs, /*throw_on_error=*/false);
+}
+
+std::vector<Dist> ForestIndex::query_batch(
+    std::span<const Request> reqs) const {
+  const std::vector<QueryResult> res =
+      run_batch(reqs, /*throw_on_error=*/true);
+  std::vector<Dist> out;
+  out.reserve(res.size());
+  for (const QueryResult& r : res) out.push_back(r.dist);
   return out;
 }
 

@@ -10,14 +10,17 @@
 //   * trees sharded by id across S shards, each shard owning a
 //     byte-bounded LRU cache of attached (pre-parsed) labels, so hot
 //     labels are parsed once and queried many times,
-//   * a batch front end: query_batch() partitions requests by shard and
-//     fans the shards out across threads (util/parallel), filling one
-//     result slot per request — deterministic for any thread count. Both
-//     tree and node ids are validated in a serial pre-pass, so a bad
-//     request always reports in request order, before any parallel work,
+//   * a batch front end: query_batch_checked() partitions requests by
+//     shard, sorts each shard's requests by tree, and fans the shards out
+//     across threads (util/parallel), filling one result slot per request
+//     — deterministic for any thread count. Both tree and node ids are
+//     validated in a serial planning pass, so a bad request always reports
+//     in request order, before any parallel work; query_batch() throws
+//     the first such report instead,
 //   * hot swap: update() replaces one tree's labeling in place — an
 //     epoch-bumping shared_ptr swap of the immutable TreeEntry plus
-//     invalidation of that tree's attached-label cache keys — safe under
+//     invalidation of that tree's attached-label cache keys (every
+//     external id of the replaced labeling, erased by key) — safe under
 //     concurrent query()/query_batch(). This is how a serving node takes an
 //     IncrementalRelabeler's refreshed labels without downtime.
 //   * delta shipping: apply_delta() patches one tree's labeling from a
@@ -25,8 +28,9 @@
 //     copy-on-write next to the live one (the mmap'ed base is never
 //     written), swapped under the same epoch'd slot machinery, and only the
 //     cached attachments whose labels actually changed are invalidated
-//     (LruCache::erase_if over the dirty/dropped id set); clean hot labels
-//     stay attached across the swap.
+//     (LruCache::erase of each dirty or dropped external id — the cost
+//     follows the delta, not the cache); clean hot labels stay attached
+//     across the swap.
 //   * stable external ids: node ids in requests are *external* ids — the
 //     ids clients learned when the tree was last fully loaded. A delta that
 //     carries a compaction (or an update() given compact()'s remap) shifts
@@ -63,6 +67,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "bits/mapped_arena.hpp"
@@ -138,14 +143,6 @@ struct ForestOptions {
   /// chain) on one tree before it is quarantined. <= 0 quarantines on the
   /// first integrity failure.
   int quarantine_after = 3;
-  /// Batch query planner: stable-sort each shard's requests by tree before
-  /// fan-out (one entry lookup and one contiguous attachment/label walk per
-  /// tree group) and software-prefetch mapped label words a few queries
-  /// ahead. Off = requests keep arrival order within their shard (the
-  /// pre-planner behavior) — the A/B lever the bench rows and the CI
-  /// planner-on >= planner-off assert use. Answers and error reporting are
-  /// identical either way (pinned by tests).
-  bool planner = true;
 };
 
 class ForestIndex {
@@ -255,8 +252,8 @@ class ForestIndex {
   /// Below this many requests per thread, fan-out overhead beats the win.
   static constexpr std::size_t kFanoutBatchPerThread = 256;
 
-  /// The planner prefetches the mapped label words of the request this many
-  /// slots ahead inside each tree group — far enough to cover a memory
+  /// The batch path prefetches the mapped label words of the request this
+  /// many slots ahead inside each tree group — far enough to cover a memory
   /// fetch, near enough to stay inside the group's working set.
   static constexpr std::size_t kPrefetchAhead = 4;
 
@@ -273,28 +270,28 @@ class ForestIndex {
   /// quarantined tree.
   [[nodiscard]] Dist query(const Request& r) const;
 
-  /// Answers every request, one result per request in request order.
-  /// Requests are grouped by shard (hence by tree), each group attaches its
-  /// hot labels once via the shard cache, and shards are fanned out across
-  /// `opt.threads`. Tree AND node ids are validated in a serial pre-pass:
-  /// a bad request throws std::out_of_range deterministically — the first
-  /// offender in request order — before any parallel work starts. The
-  /// batch then answers from the entries it validated (one labeling per
-  /// tree for the whole batch), so an update() landing mid-batch can never
-  /// fail requests the pre-pass accepted — those answers come from the
-  /// pre-update labeling, uncached.
-  [[nodiscard]] std::vector<Dist> query_batch(
+  /// Answers every request with a typed QueryStatus, one result per
+  /// request in request order. Requests are grouped by shard, then sorted
+  /// by tree; each tree group resolves its node ids against one entry
+  /// snapshot, attaches its hot labels once via the shard cache, and
+  /// shards are fanned out across `opt.threads`. Bad tree ids, bad or
+  /// tombstoned node ids and quarantined trees are reported per request in
+  /// a serial planning pass, before any parallel work. The batch answers
+  /// from the entries it validated (one labeling per tree for the whole
+  /// batch), so an update() landing mid-batch can never fail requests the
+  /// plan accepted — those answers come from the pre-update labeling,
+  /// uncached. This is the front end a network server should call — one
+  /// poisoned tree (or one bad client id) must not take down a batch that
+  /// also touches healthy trees.
+  [[nodiscard]] std::vector<QueryResult> query_batch_checked(
       std::span<const Request> reqs) const;
 
-  /// Non-throwing query_batch: every request gets a typed QueryStatus in
-  /// request order instead of the first offender aborting the batch. Bad
-  /// tree ids, bad/tombstoned node ids and quarantined trees are reported
-  /// per-request; everything else is answered exactly like query_batch()
-  /// (same snapshotting, sharding and caching rules). This is the front
-  /// end a network server should call — one poisoned tree (or one bad
-  /// client id) must not take down a batch that also touches healthy
-  /// trees.
-  [[nodiscard]] std::vector<QueryResult> query_batch_checked(
+  /// query_batch_checked() that throws instead of reporting: the first
+  /// request in request order with a non-ok status throws what query()
+  /// would (std::out_of_range for a bad tree or node id, QuarantinedError
+  /// for a quarantined tree) before any query work runs, so a refused
+  /// batch attaches nothing.
+  [[nodiscard]] std::vector<Dist> query_batch(
       std::span<const Request> reqs) const;
 
   struct CacheStats {
@@ -389,8 +386,9 @@ class ForestIndex {
       const TreeEntry& old, std::span<const tree::NodeId> remap,
       std::size_t new_int_count, const std::vector<std::uint8_t>* dirty_int,
       std::vector<tree::NodeId>* dead_or_dirty);
-  /// Shared body of update()/update_file(): swap the slot and invalidate
-  /// the tree's cached attachments, both under the shard lock. `remap`
+  /// Shared body of update()/update_file(): swap the slot and erase the
+  /// replaced entry's whole external id range from the shard cache, both
+  /// under the shard lock. `remap`
   /// non-null composes the external-id map (see update(remap)); null
   /// resets it. `chain` non-null pins the entry's chain (snapshot
   /// hand-off); null seeds it from the arena's lens_hash.
@@ -399,11 +397,10 @@ class ForestIndex {
                            const std::vector<tree::NodeId>* remap,
                            const std::uint64_t* chain = nullptr);
   /// The batch planner's output: accepted request indices grouped
-  /// contiguously by (shard, tree) — sorted by tree within each shard when
-  /// opt_.planner is on, arrival order otherwise — with node ids resolved
-  /// to internal label indices exactly once. `snap` owns one entry
-  /// snapshot per referenced tree (the "one labeling per tree per batch"
-  /// guarantee); groups point into it.
+  /// contiguously by (shard, tree) — stable-sorted by tree within each
+  /// shard — with node ids resolved to internal label indices exactly
+  /// once. `snap` owns one entry snapshot per referenced tree (the "one
+  /// labeling per tree per batch" guarantee); groups point into it.
   struct BatchPlan {
     struct Group {
       std::uint32_t begin = 0;  ///< [begin, end) into `order`
@@ -415,38 +412,30 @@ class ForestIndex {
     std::vector<tree::NodeId> iu, iv;  ///< resolved ids, indexed by request
     std::vector<Group> groups;
     std::vector<std::uint32_t> shard_groups;  ///< per-shard range in groups
-    std::vector<EntryPtr> snap;               ///< keeps group entries alive
+    std::unordered_map<TreeId, EntryPtr> snap;  ///< keeps entries alive
   };
-  /// Shared planning pass of query_batch()/query_batch_checked(): validate
-  /// every request, group by (shard, tree), load one entry snapshot per
-  /// tree, resolve node ids once. `results` null = throwing mode: the
-  /// plan throws the FIRST offender in request order (exact pinned
-  /// exceptions), before any query work. `results` non-null = checked
-  /// mode: offenders get their typed status and drop out of the plan.
+  /// Planning pass of every batch: validate each request, group by
+  /// (shard, tree), load one entry snapshot per tree, resolve node ids
+  /// once. Offenders get their typed status in `results` and drop out of
+  /// the plan.
   [[nodiscard]] BatchPlan plan_batch(std::span<const Request> reqs,
-                                     QueryResult* results) const;
+                                     std::span<QueryResult> results) const;
   /// Fans a plan out across shards (one lock per shard, groups walked
-  /// contiguously, prefetch ahead) and hands each answer to
-  /// `sink(request_index, dist)` — results land in request order because
-  /// the sink writes out[i].
-  template <typename Sink>
+  /// contiguously, prefetch ahead), writing each answer to out[request].
   void execute_plan(const BatchPlan& plan, std::span<const Request> reqs,
-                    Sink&& sink) const;
-  /// query_entry_locked for ids already resolved by the planner.
+                    std::span<QueryResult> out) const;
+  /// Shared body of query_batch()/query_batch_checked(): plan, optionally
+  /// throw for the first non-ok request, execute, record the batch metrics.
+  [[nodiscard]] std::vector<QueryResult> run_batch(
+      std::span<const Request> reqs, bool throw_on_error) const;
+  /// One cached query for node ids already resolved against `e`, which
+  /// must be the tree's live entry (checked under the same lock).
   [[nodiscard]] Dist query_resolved_locked(Shard& sh, TreeId tree,
                                            const Request& r, tree::NodeId iu,
                                            tree::NodeId iv, const TreeEntry& e)
       const TREELAB_REQUIRES(sh.mu);
   [[nodiscard]] Dist query_resolved_uncached(tree::NodeId iu, tree::NodeId iv,
                                              const TreeEntry& e) const;
-
-  [[nodiscard]] Dist query_entry_locked(Shard& sh, const Request& r,
-                                        const TreeEntry& e) const
-      TREELAB_REQUIRES(sh.mu);
-  /// One query against the *current* entry of r.tree (re-loaded under the
-  /// shard lock, so cached attachments always match the live labeling).
-  [[nodiscard]] Dist query_locked(Shard& sh, const Request& r) const
-      TREELAB_REQUIRES(sh.mu);
 
   [[nodiscard]] Slot& slot(TreeId tree) const;
   [[nodiscard]] static TreeHealth health_of(const Slot& s) noexcept {

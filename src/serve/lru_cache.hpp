@@ -69,36 +69,20 @@ class LruCache {
     }
     bytes_ += cost;
     while (bytes_ > capacity_ && size_ > 1) {
-      const std::uint32_t victim = tail_;
-      unplace(nodes_[victim].key);
-      bytes_ -= nodes_[victim].cost;
-      unlink(victim);
-      free_node(victim);
-      --size_;
+      remove(tail_);
       ++evictions_;
     }
   }
 
-  /// Removes every entry whose key satisfies `pred`, releasing its cost.
-  /// Returns the number of entries removed. Not counted as evictions (the
-  /// caller is invalidating, not budgeting) — ForestIndex uses this to drop
-  /// a tree's attached labels when its labeling is hot-swapped.
-  template <typename Pred>
-  std::size_t erase_if(Pred&& pred) {
-    std::size_t removed = 0;
-    for (std::uint32_t i = head_; i != kNil;) {
-      const std::uint32_t next = nodes_[i].next;
-      if (pred(nodes_[i].key)) {
-        unplace(nodes_[i].key);
-        bytes_ -= nodes_[i].cost;
-        unlink(i);
-        free_node(i);
-        --size_;
-        ++removed;
-      }
-      i = next;
-    }
-    return removed;
+  /// Removes `key` if present, releasing its cost; returns whether it was
+  /// there. Not counted as an eviction (the caller is invalidating, not
+  /// budgeting) — ForestIndex drops a tree's stale attached labels this
+  /// way when its labeling is hot-swapped or patched.
+  bool erase(const K& key) {
+    const std::uint32_t i = find(key);
+    if (i == kNil) return false;
+    remove(i);
+    return true;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
@@ -192,6 +176,15 @@ class LruCache {
     }
     nodes_.push_back(Node{key, std::move(value), cost, kNil, kNil});
     return static_cast<std::uint32_t>(nodes_.size() - 1);
+  }
+
+  /// Drops node `i` from the table, the recency list and the byte count.
+  void remove(std::uint32_t i) {
+    unplace(nodes_[i].key);
+    bytes_ -= nodes_[i].cost;
+    unlink(i);
+    free_node(i);
+    --size_;
   }
 
   void free_node(std::uint32_t i) {

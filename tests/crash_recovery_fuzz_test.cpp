@@ -31,7 +31,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -39,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "fuzz_harness.hpp"
 #include "core/alstrup_scheme.hpp"
 #include "core/delta_journal.hpp"
 #include "core/incremental_relabeler.hpp"
@@ -71,20 +71,16 @@ namespace failpoint = util::failpoint;
 
 constexpr core::AlstrupOptions kStable{nca::CodeWeights::kStablePow2, 1};
 
+using fuzz::artifact_dir;
+
 struct CrashConfig {
   std::uint64_t seed = 0;  // 0 = default
   int kills = 0;           // 0 = default budget (1000)
-  std::string artifact_dir;
 };
 CrashConfig g_cfg;
 
 int kill_budget() { return g_cfg.kills > 0 ? g_cfg.kills : 1000; }
 std::uint64_t run_seed() { return g_cfg.seed != 0 ? g_cfg.seed : 20260808; }
-
-std::string artifact_dir() {
-  return g_cfg.artifact_dir.empty() ? testing::TempDir()
-                                    : g_cfg.artifact_dir + "/";
-}
 
 bool arena_equal(const bits::LabelArena& a, const bits::LabelArena& b) {
   if (a.size() != b.size()) return false;
@@ -560,23 +556,10 @@ TEST(CrashRecoveryFuzz, QuarantinedTreeDoesNotTakeDownTheForest) {
 
 int main(int argc, char** argv) {
   testing::InitGoogleTest(&argc, argv);
-  const auto from_env = [](const char* name) -> std::string {
-    const char* v = std::getenv(name);
-    return v == nullptr ? std::string() : std::string(v);
-  };
-  if (const std::string s = from_env("TREELAB_CRASH_SEED"); !s.empty())
-    g_cfg.seed = std::strtoull(s.c_str(), nullptr, 10);
-  if (const std::string s = from_env("TREELAB_CRASH_KILLS"); !s.empty())
-    g_cfg.kills = std::atoi(s.c_str());
-  g_cfg.artifact_dir = from_env("TREELAB_CRASH_ARTIFACT_DIR");
-  for (int i = 1; i + 1 < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--seed")
-      g_cfg.seed = std::strtoull(argv[++i], nullptr, 10);
-    else if (a == "--kills")
-      g_cfg.kills = std::atoi(argv[++i]);
-    else if (a == "--artifact-dir")
-      g_cfg.artifact_dir = argv[++i];
-  }
+  const treelab::fuzz::Args args(argc, argv);
+  g_cfg.seed = args.count("--seed", "TREELAB_CRASH_SEED");
+  g_cfg.kills = args.count<int>("--kills", "TREELAB_CRASH_KILLS");
+  treelab::fuzz::g_artifact_dir =
+      args.text("--artifact-dir", "TREELAB_CRASH_ARTIFACT_DIR");
   return RUN_ALL_TESTS();
 }

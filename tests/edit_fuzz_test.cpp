@@ -26,7 +26,6 @@
 //                                         (default: the test temp dir)
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <random>
@@ -34,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "fuzz_harness.hpp"
 #include "core/alstrup_scheme.hpp"
 #include "core/delta_journal.hpp"
 #include "core/incremental_relabeler.hpp"
@@ -54,20 +54,16 @@ using tree::Tree;
 
 constexpr core::AlstrupOptions kStable{nca::CodeWeights::kStablePow2, 1};
 
+using fuzz::artifact_dir;
+
 struct FuzzConfig {
   std::uint64_t seed = 0;  // 0 = per-shape default
   int edits = 0;           // 0 = default budget (1000)
   std::string replay;
-  std::string artifact_dir;
 };
 FuzzConfig g_cfg;
 
 int edit_budget() { return g_cfg.edits > 0 ? g_cfg.edits : 1000; }
-
-std::string artifact_dir() {
-  return g_cfg.artifact_dir.empty() ? testing::TempDir()
-                                    : g_cfg.artifact_dir + "/";
-}
 
 /// Drives one fuzz run: the relabeler, a structural mirror for picking
 /// valid edits, the rebuild-oracle parity check, and the chained delta
@@ -482,26 +478,11 @@ TEST(EditFuzz, Replay) {
 
 int main(int argc, char** argv) {
   testing::InitGoogleTest(&argc, argv);
-  const auto from_env = [](const char* name) -> std::string {
-    const char* v = std::getenv(name);
-    return v == nullptr ? std::string() : std::string(v);
-  };
-  if (const std::string s = from_env("TREELAB_FUZZ_SEED"); !s.empty())
-    g_cfg.seed = std::strtoull(s.c_str(), nullptr, 10);
-  if (const std::string s = from_env("TREELAB_FUZZ_EDITS"); !s.empty())
-    g_cfg.edits = std::atoi(s.c_str());
-  g_cfg.replay = from_env("TREELAB_FUZZ_REPLAY");
-  g_cfg.artifact_dir = from_env("TREELAB_FUZZ_ARTIFACT_DIR");
-  for (int i = 1; i + 1 < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--seed")
-      g_cfg.seed = std::strtoull(argv[++i], nullptr, 10);
-    else if (a == "--edits")
-      g_cfg.edits = std::atoi(argv[++i]);
-    else if (a == "--replay")
-      g_cfg.replay = argv[++i];
-    else if (a == "--artifact-dir")
-      g_cfg.artifact_dir = argv[++i];
-  }
+  const treelab::fuzz::Args args(argc, argv);
+  g_cfg.seed = args.count("--seed", "TREELAB_FUZZ_SEED");
+  g_cfg.edits = args.count<int>("--edits", "TREELAB_FUZZ_EDITS");
+  g_cfg.replay = args.text("--replay", "TREELAB_FUZZ_REPLAY");
+  treelab::fuzz::g_artifact_dir =
+      args.text("--artifact-dir", "TREELAB_FUZZ_ARTIFACT_DIR");
   return RUN_ALL_TESTS();
 }

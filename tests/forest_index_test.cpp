@@ -260,53 +260,56 @@ TEST(ForestIndex, BatchValidatesNodeIdsInRequestOrder) {
   cleanup(files);
 }
 
-TEST(ForestIndex, PlannerOffMatchesPlannerOn) {
-  // The batch planner (sort by (shard, tree), resolve each group against
-  // one entry lookup) is a pure execution-order optimization: answers,
-  // their request-order placement, and checked statuses must be identical
-  // with it disabled. Requests deliberately interleave trees so the
-  // planner's stable sort actually reorders work.
-  std::vector<std::string> files_on;
-  std::vector<std::string> files_off;
-  ForestOptions on_opt;
-  on_opt.shards = 4;
-  on_opt.threads = 4;
-  ASSERT_TRUE(on_opt.planner);  // the default
-  ForestOptions off_opt = on_opt;
-  off_opt.planner = false;
-  ForestIndex on(on_opt);
-  ForestIndex off(off_opt);
-  build_forest(on, files_on);
-  build_forest(off, files_off);
+TEST(ForestIndex, BatchMatchesPerRequestQueries) {
+  // The batch path reorders work (stable sort by (shard, tree), one entry
+  // snapshot per tree group, prefetch ahead) but must answer exactly like
+  // one query() per request: the same answers in request order, and for a
+  // failing request the status that matches what query() throws for it.
+  // Requests deliberately interleave trees so the sort actually reorders
+  // work.
+  ForestOptions opt;
+  opt.shards = 4;
+  opt.threads = 4;
+  ForestIndex index(opt);
+  std::vector<std::string> files;
+  build_forest(index, files);
 
   std::mt19937_64 rng(12);
   std::vector<Request> reqs;
   for (int i = 0; i < 400; ++i) {
     const auto id = static_cast<TreeId>(i % 5);  // maximally interleaved
     std::uniform_int_distribution<NodeId> pick(
-        0, static_cast<NodeId>(on.label_count(id)) - 1);
+        0, static_cast<NodeId>(index.label_count(id)) - 1);
     reqs.push_back({id, pick(rng), pick(rng)});
   }
-  const std::vector<Dist> want = off.query_batch(reqs);
-  const std::vector<Dist> got = on.query_batch(reqs);
-  ASSERT_EQ(got.size(), want.size());
+  const std::vector<Dist> got = index.query_batch(reqs);
+  ASSERT_EQ(got.size(), reqs.size());
   for (std::size_t i = 0; i < got.size(); ++i)
-    EXPECT_EQ(got[i], want[i]) << "req " << i;
+    EXPECT_EQ(got[i], index.query(reqs[i])) << "req " << i;
 
   // Checked path too, with per-request failures mixed in.
   reqs[3] = {99, 0, 0};
   reqs[7] = {1, NodeId{100000}, 0};
-  const auto want_checked = off.query_batch_checked(reqs);
-  const auto got_checked = on.query_batch_checked(reqs);
-  ASSERT_EQ(got_checked.size(), want_checked.size());
-  for (std::size_t i = 0; i < got_checked.size(); ++i) {
-    EXPECT_EQ(got_checked[i].status, want_checked[i].status) << "req " << i;
-    if (got_checked[i].status == serve::QueryStatus::kOk) {
-      EXPECT_EQ(got_checked[i].dist, want_checked[i].dist) << "req " << i;
+  reqs[11] = {2, 0, NodeId{-1}};
+  const auto got_checked = index.query_batch_checked(reqs);
+  ASSERT_EQ(got_checked.size(), reqs.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    auto want = serve::QueryStatus::kOk;
+    Dist d;
+    try {
+      d = index.query(reqs[i]);
+    } catch (const serve::QuarantinedError&) {
+      want = serve::QueryStatus::kQuarantined;
+    } catch (const std::out_of_range&) {
+      want = reqs[i].tree < index.tree_count() ? serve::QueryStatus::kBadNode
+                                               : serve::QueryStatus::kBadTree;
+    }
+    EXPECT_EQ(got_checked[i].status, want) << "req " << i;
+    if (want == serve::QueryStatus::kOk) {
+      EXPECT_EQ(got_checked[i].dist, d) << "req " << i;
     }
   }
-  cleanup(files_on);
-  cleanup(files_off);
+  cleanup(files);
 }
 
 TEST(ForestIndex, PlannerReorderingPreservesErrorOrder) {
@@ -943,6 +946,54 @@ TEST(ForestIndexDegradation, CheckedBatchReportsBadIdsPerRequest) {
     EXPECT_EQ(res[i].dist, index.query(reqs[i]));
   }
   cleanup(files);
+}
+
+TEST(ForestIndexDegradation, ThrowingBatchReportsTombstoneAndQuarantine) {
+  // query_batch throws exactly what query() throws for the first failing
+  // request in request order — a tombstoned id's "no longer in the tree"
+  // (not the generic out-of-range message), a quarantined tree's
+  // QuarantinedError — before any query work, so nothing gets attached.
+  ForestOptions opt;
+  opt.shards = 2;
+  ForestIndex index(opt);
+  core::IncrementalRelabeler ra(tree::random_tree(120, 41));
+  core::IncrementalRelabeler rb(tree::random_tree(120, 42));
+  const TreeId ta = index.add(ra.to_loaded());
+  const TreeId tb = index.add(rb.to_loaded());
+
+  // Tombstone a leaf of tree a through a shipped delta.
+  NodeId victim = tree::kNoNode;
+  for (NodeId v = 119; v > 0 && victim == tree::kNoNode; --v) {
+    try {
+      ra.delete_leaf(v);
+      victim = v;
+    } catch (const std::exception&) {
+    }
+  }
+  ASSERT_NE(victim, tree::kNoNode);
+  std::stringstream ss;
+  ra.ship_delta(ss);
+  (void)index.apply_delta(ta, core::LabelStore::load_delta(ss));
+
+  // Quarantine tree b: quarantine_after (default 3) corrupt refreshes.
+  const std::string bad = temp_path("throwing_batch_bad");
+  util::atomic_write_file(bad, "this is not a label container");
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_THROW((void)index.update_file(tb, bad), std::runtime_error);
+  }
+  ASSERT_EQ(index.health(tb), TreeHealth::kQuarantined);
+
+  std::vector<Request> reqs{{ta, 0, 1}, {ta, 2, victim}, {tb, 0, 1}};
+  try {
+    (void)index.query_batch(reqs);
+    FAIL() << "expected out_of_range";
+  } catch (const std::out_of_range& e) {
+    EXPECT_STREQ(e.what(), "ForestIndex: node id is no longer in the tree");
+  }
+  std::swap(reqs[1], reqs[2]);  // the quarantined tree now comes first
+  EXPECT_THROW((void)index.query_batch(reqs), serve::QuarantinedError);
+  EXPECT_EQ(index.cache_stats().entries, 0u);
+  util::remove_file(bad);
 }
 
 TEST(AnyScheme, RejectsUnknownTagsAndBadParams) {

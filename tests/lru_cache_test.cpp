@@ -1,6 +1,6 @@
 // LruCache unit tests: recency order under get/put interleavings,
 // byte-budget accounting through inserts, replacements, evictions and
-// erase_if, the never-evict-the-just-inserted-entry rule, and the
+// keyed erase, the never-evict-the-just-inserted-entry rule, and the
 // degenerate budgets (zero, and entries larger than the whole cache).
 // ForestIndex relies on each of these when it serves attached labels out
 // of its per-shard caches.
@@ -110,43 +110,54 @@ TEST(LruCache, ZeroBudgetHoldsExactlyTheLatest) {
   EXPECT_EQ(c.size(), 2u);
 }
 
-TEST(LruCache, EraseIfReleasesCostWithoutCountingEvictions) {
-  LruCache<std::pair<int, int>, int,
-           decltype([](const std::pair<int, int>& k) {
-             return std::hash<int>()(k.first * 31 + k.second);
-           })>
-      c(1000);
-  // ForestIndex keys attached labels by (tree, node) and invalidates one
-  // tree's entries on hot swap — model exactly that shape.
-  for (int tree = 0; tree < 3; ++tree)
-    for (int node = 0; node < 4; ++node)
-      c.put({tree, node}, tree * 100 + node, 10);
-  EXPECT_EQ(c.size(), 12u);
-  EXPECT_EQ(c.bytes(), 120u);
-  const std::size_t removed =
-      c.erase_if([](const std::pair<int, int>& k) { return k.first == 1; });
-  EXPECT_EQ(removed, 4u);
-  EXPECT_EQ(c.size(), 8u);
-  EXPECT_EQ(c.bytes(), 80u);
+TEST(LruCache, EraseReleasesCostWithoutCountingEvictions) {
+  Cache c(1000);
+  EXPECT_FALSE(c.erase(1));  // empty cache, no table yet
+  for (int k = 0; k < 4; ++k) c.put(k, "v", 10);
+  EXPECT_TRUE(c.erase(2));    // present
+  EXPECT_FALSE(c.erase(2));   // already gone
+  EXPECT_FALSE(c.erase(42));  // never there
+  EXPECT_EQ(c.size(), 3u);
+  EXPECT_EQ(c.bytes(), 30u);
   EXPECT_EQ(c.evictions(), 0u);  // invalidation, not budgeting
-  EXPECT_EQ(c.get({1, 2}), nullptr);
-  ASSERT_NE(c.get({2, 3}), nullptr);
-  EXPECT_EQ(*c.get({2, 3}), 203);
-  // Removing everything leaves a clean, reusable cache.
-  EXPECT_EQ(c.erase_if([](const std::pair<int, int>&) { return true; }), 8u);
-  EXPECT_EQ(c.size(), 0u);
-  EXPECT_EQ(c.bytes(), 0u);
-  c.put({9, 9}, 999, 10);
-  EXPECT_TRUE(c.get({9, 9}) != nullptr);
+  EXPECT_FALSE(contains(c, 2));
+  EXPECT_TRUE(contains(c, 1));
+  EXPECT_TRUE(contains(c, 3));
 }
 
-TEST(LruCache, EraseIfOnEmptyAndNoMatch) {
-  Cache c(100);
-  EXPECT_EQ(c.erase_if([](int) { return true; }), 0u);
+TEST(LruCache, ErasedKeyCanBePutAgain) {
+  Cache c(30);
   c.put(1, "a", 10);
-  EXPECT_EQ(c.erase_if([](int k) { return k == 42; }), 0u);
+  c.put(2, "b", 10);
+  ASSERT_TRUE(c.erase(1));
+  c.put(1, "again", 10);  // lands at the hot end with its new value
+  ASSERT_NE(c.get(1), nullptr);
+  EXPECT_EQ(*c.get(1), "again");
+  EXPECT_EQ(c.size(), 2u);
+  EXPECT_EQ(c.bytes(), 20u);
+  c.put(3, "c", 10);
+  c.put(4, "d", 10);  // over budget: evicts 2, the coldest
+  EXPECT_FALSE(contains(c, 2));
+  EXPECT_TRUE(contains(c, 1));
+  EXPECT_EQ(c.evictions(), 1u);
+}
+
+TEST(LruCache, LiveKeysSurviveTombstoneHeavyChurn) {
+  // Every erase leaves a tombstone in the open-addressing table; probes
+  // must walk past them, and the rehash that clears them must keep every
+  // live key reachable. Key 7 stays put while thousands of neighbors come
+  // and go around it.
+  Cache c(1 << 20);
+  c.put(7, "keep", 1);
+  for (int round = 0; round < 50; ++round) {
+    for (int k = 100; k < 160; ++k) c.put(k + round * 1000, "x", 1);
+    for (int k = 100; k < 160; ++k) ASSERT_TRUE(c.erase(k + round * 1000));
+    ASSERT_NE(c.get(7), nullptr) << "round " << round;
+  }
+  EXPECT_EQ(*c.get(7), "keep");
   EXPECT_EQ(c.size(), 1u);
-  EXPECT_EQ(c.bytes(), 10u);
+  EXPECT_EQ(c.bytes(), 1u);
+  EXPECT_EQ(c.evictions(), 0u);
 }
 
 TEST(LruCache, StatsAccumulate) {

@@ -35,7 +35,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <random>
@@ -46,6 +45,7 @@
 
 #include <unistd.h>
 
+#include "fuzz_harness.hpp"
 #include "core/delta_journal.hpp"
 #include "core/incremental_relabeler.hpp"
 #include "core/label_store.hpp"
@@ -69,21 +69,17 @@ using tree::NodeId;
 using tree::Tree;
 using util::FailMode;
 
+using fuzz::artifact_dir;
+
 struct FuzzConfig {
   std::uint64_t seed = 0;  // 0 = per-test default
   int edits = 0;           // 0 = default (200 per round)
   int rounds = 0;          // 0 = default (6)
-  std::string artifact_dir;
 };
 FuzzConfig g_cfg;
 
 int edits_per_round() { return g_cfg.edits > 0 ? g_cfg.edits : 200; }
 int fuzz_rounds() { return g_cfg.rounds > 0 ? g_cfg.rounds : 6; }
-
-std::string artifact_dir() {
-  return g_cfg.artifact_dir.empty() ? testing::TempDir()
-                                    : g_cfg.artifact_dir + "/";
-}
 
 /// One full leader/follower fuzz run. Owns every moving part; the public
 /// entry is run(), which drives the rounds and the final convergence +
@@ -543,27 +539,11 @@ TEST(NetFaultFuzz, LoopbackReplicationAlt) { run_seed(7002); }
 
 int main(int argc, char** argv) {
   testing::InitGoogleTest(&argc, argv);
-  const auto from_env = [](const char* name) -> std::string {
-    const char* v = std::getenv(name);
-    return v == nullptr ? std::string() : std::string(v);
-  };
-  if (const std::string s = from_env("TREELAB_NET_FUZZ_SEED"); !s.empty())
-    g_cfg.seed = std::strtoull(s.c_str(), nullptr, 10);
-  if (const std::string s = from_env("TREELAB_NET_FUZZ_EDITS"); !s.empty())
-    g_cfg.edits = std::atoi(s.c_str());
-  if (const std::string s = from_env("TREELAB_NET_FUZZ_ROUNDS"); !s.empty())
-    g_cfg.rounds = std::atoi(s.c_str());
-  g_cfg.artifact_dir = from_env("TREELAB_NET_FUZZ_ARTIFACT_DIR");
-  for (int i = 1; i + 1 < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--seed")
-      g_cfg.seed = std::strtoull(argv[++i], nullptr, 10);
-    else if (a == "--edits")
-      g_cfg.edits = std::atoi(argv[++i]);
-    else if (a == "--rounds")
-      g_cfg.rounds = std::atoi(argv[++i]);
-    else if (a == "--artifact-dir")
-      g_cfg.artifact_dir = argv[++i];
-  }
+  const treelab::fuzz::Args args(argc, argv);
+  g_cfg.seed = args.count("--seed", "TREELAB_NET_FUZZ_SEED");
+  g_cfg.edits = args.count<int>("--edits", "TREELAB_NET_FUZZ_EDITS");
+  g_cfg.rounds = args.count<int>("--rounds", "TREELAB_NET_FUZZ_ROUNDS");
+  treelab::fuzz::g_artifact_dir =
+      args.text("--artifact-dir", "TREELAB_NET_FUZZ_ARTIFACT_DIR");
   return RUN_ALL_TESTS();
 }
